@@ -7,15 +7,17 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
-import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, LogicalPlan}
 import org.apache.spark.sql.catalyst.rules.Rule
+import org.apache.spark.sql.catalyst.util.TypeUtils
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.types.{BooleanType, DataType, StringType}
 
 /** Catalyst-level implementation of BLEND's intermediate-result query
   * rewriting (paper §VII-B, "Query rewriting").
   *
   * Each seeker's default query contains a placeholder predicate
-  * `blend_ir('<slot>', TableId)`. Before the executor fires the query it
+  * `blend_ir(<slot>, TableId)`. Before the executor fires the query it
   * stores the intermediate result (the table ids produced by the previously
   * executed seeker of the same execution group) in [[IrRegistry]] under the
   * slot name. [[IrPushdownRule]], injected via
@@ -98,12 +100,75 @@ object IrPushdownRule extends Rule[LogicalPlan] {
   }
 }
 
+/** Lets value lookups prune the cached index. `OptimizeIn` turns every
+  * `CellValue IN (...)` of more than ten values into an `InSet`, and the
+  * cached-batch filter prunes batches on `In` and on comparisons but not on
+  * `InSet`. So in a filter over a cached relation each `InSet` on
+  * `CellValue` keeps its place, where it still does the row-level work by
+  * hashing, and gets a twin appended that the scan prunes on and that is
+  * evaluated only on the rows the `InSet` kept:
+  *
+  *  - up to [[maxTwinTerms]] values: `In` over the same literals;
+  *  - more values: the sorted literals cut into at most [[maxTwinTerms]]
+  *    runs, each twinned by the closed range from its first to its last
+  *    value.
+  *
+  * The cached-batch filter expands a twin into one bounds check per term
+  * and generates code for it in every task, so an `In` over hundreds of
+  * literals costs more than the batches it skips; the ranges bound that
+  * cost and still skip the batches outside them.
+  *
+  * Only a relation whose partitions hold at least two full batches on
+  * average gets twins. With fewer, a lookup whose values spread over the
+  * value range reads every batch anyway, and at best skips a partial last
+  * batch, which saves less than the bounds checks cost.
+  */
+object InSetPruningTwin extends Rule[LogicalPlan] with PredicateHelper {
+
+  val maxTwinTerms = 16
+
+  private def twin(v: Expression, hset: Set[Any]): Option[Expression] = {
+    val sorted = hset.toSeq.filter(_ != null)
+      .sorted(TypeUtils.getInterpretedOrdering(v.dataType))
+      .map(Literal(_, v.dataType))
+    if (sorted.isEmpty) None
+    else if (sorted.size <= maxTwinTerms) Some(In(v, sorted))
+    else Some(sorted.grouped((sorted.size + maxTwinTerms - 1) / maxTwinTerms)
+      .map(run => And(GreaterThanOrEqual(v, run.head), LessThanOrEqual(v, run.last)): Expression)
+      .reduce(Or))
+  }
+
+  /** Whether the relation's partitions hold at least two full batches on
+    * average, judged by the session's batch size; a relation that is not
+    * cached yet counts as having several.
+    */
+  private def severalBatches(r: InMemoryRelation): Boolean = {
+    val cache = r.cacheBuilder
+    !cache.isCachedColumnBuffersLoaded ||
+      cache.rowCountStats.value >= 2L * conf.columnBatchSize * cache.cachedColumnBuffers.getNumPartitions
+  }
+
+  override def apply(plan: LogicalPlan): LogicalPlan = plan.transform {
+    case f @ Filter(condition, r: InMemoryRelation) if severalBatches(r) =>
+      val conjuncts = splitConjunctivePredicates(condition)
+      val twins = conjuncts
+        .collect { case InSet(v: AttributeReference, hset) if v.name == "CellValue" => twin(v, hset) }
+        .flatten
+        .filterNot(t => conjuncts.exists(_.semanticEquals(t)))
+      if (twins.isEmpty) f else f.copy(condition = (conjuncts ++ twins).reduce(And))
+  }
+}
+
 /** Installs BLEND into a SparkSession: registers the `blend_ir` placeholder
-  * function (via the session's function registry, so plain SQL/`expr` can
-  * produce it) and injects [[IrPushdownRule]] into the experimental
-  * optimizer extensions.
+  * function (via the session's function registry, so plain SQL and
+  * `call_function` can produce it), injects [[IrPushdownRule]] and
+  * [[InSetPruningTwin]] into the experimental optimizer extensions, and
+  * lets joins on (TableId, RowId) run co-partitioned on the index's
+  * TableId layout (see [[AllTables]]) instead of shuffling both sides.
   */
 object BlendSession {
+  private val rules = Seq(IrPushdownRule, InSetPruningTwin)
+
   def install(spark: SparkSession): Unit = synchronized {
     spark.sessionState.functionRegistry.createOrReplaceTempFunction(
       "blend_ir",
@@ -113,9 +178,10 @@ object BlendSession {
       },
       "built-in",
     )
-    if (!spark.experimental.extraOptimizations.contains(IrPushdownRule)) {
-      spark.experimental.extraOptimizations =
-        spark.experimental.extraOptimizations :+ IrPushdownRule
+    val missing = rules.filterNot(spark.experimental.extraOptimizations.contains)
+    if (missing.nonEmpty) {
+      spark.experimental.extraOptimizations = spark.experimental.extraOptimizations ++ missing
     }
+    spark.conf.set("spark.sql.requireAllClusterKeysForCoPartition", "false")
   }
 }

@@ -52,7 +52,7 @@ sealed trait Seeker {
 
   /** Apply the placeholder predicate of §VII-B to a scan of AllTables. */
   protected final def withIr(df: DataFrame, slot: Option[String]): DataFrame =
-    slot.fold(df)(s => df.where(expr(s"blend_ir('$s', TableId)")))
+    slot.fold(df)(s => df.where(call_function("blend_ir", lit(s), col("TableId"))))
 
   protected final def collectScored(df: DataFrame): Seq[Scored] =
     df.select(col("TableId").cast("long"), col("score").cast("double"))

@@ -46,28 +46,37 @@ final case class Lake(
 
   /** Flatten the lake into the cells DataFrame the index builder consumes:
     * (TableId, ColumnId, RowId, CellValue, NumValue). NumValue is null for
-    * non-numerical cells.
+    * non-numerical cells. The cells are generated on the executors from the
+    * tables, which travel in slices of about [[Lake.cellsPerSlice]] cells,
+    * so no single process or task holds the lake as rows.
     */
   def cellsDF(spark: SparkSession): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("TableId", LongType, nullable = false),
-      StructField("ColumnId", IntegerType, nullable = false),
-      StructField("RowId", IntegerType, nullable = false),
-      StructField("CellValue", StringType, nullable = false),
-      StructField("NumValue", DoubleType, nullable = true),
-    ))
-    val rows = for {
-      t <- tables
-      c <- t.columns.indices
-      col = t.columns(c)
-      r <- col.values.indices
-    } yield Row(
-      t.id,
-      c,
-      r,
-      col.values(r),
-      col.numeric.map(n => java.lang.Double.valueOf(n(r))).orNull,
-    )
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 8), schema)
+    val slices = math.max(spark.sparkContext.defaultParallelism, (nCells / Lake.cellsPerSlice).toInt + 1)
+    val rows = spark.sparkContext.parallelize(tables, slices).flatMap(Lake.cells)
+    spark.createDataFrame(rows, Lake.cellSchema)
   }
+}
+
+object Lake {
+
+  /** Cells per slice of [[Lake.cellsDF]]: 64 Ki cells keep a task's share of
+    * the lake in the low megabytes.
+    */
+  private val cellsPerSlice: Long = 1L << 16
+
+  private val cellSchema: StructType = StructType(Seq(
+    StructField("TableId", LongType, nullable = false),
+    StructField("ColumnId", IntegerType, nullable = false),
+    StructField("RowId", IntegerType, nullable = false),
+    StructField("CellValue", StringType, nullable = false),
+    StructField("NumValue", DoubleType, nullable = true),
+  ))
+
+  /** The cells of one table, column by column, as rows of [[cellSchema]]. */
+  private def cells(t: LakeTable): Iterator[Row] =
+    t.columns.iterator.zipWithIndex.flatMap { case (col, c) =>
+      col.values.indices.iterator.map { r =>
+        Row(t.id, c, r, col.values(r), col.numeric.map(n => java.lang.Double.valueOf(n(r))).orNull)
+      }
+    }
 }

@@ -8,6 +8,9 @@ class AllTablesSpec extends SparkSpec {
 
   private lazy val idx = Fixtures.fig1Index
 
+  /** The index's row multiset, as sorted row strings. */
+  private def rowStrings(index: AllTables): Seq[String] = index.df.collect().map(_.toString).toSeq.sorted
+
   test("index has one row per lake cell") {
     assert(idx.nCells == Fixtures.fig1Lake.nCells)
     assert(idx.nCells == 36) // T1: 6, T2: 18, T3: 12
@@ -77,16 +80,33 @@ class AllTablesSpec extends SparkSpec {
     val loaded = AllTables.load(spark, dir)
     assert(loaded.nCells == idx.nCells)
     assert(loaded.valueFreq == idx.valueFreq)
+    assert(rowStrings(loaded) == rowStrings(idx))
+    val sc = ScSeeker("sc", Seq("HR", "Marketing", "Finance", "IT", "R&D", "Sales"))
+    val df = sc.resultDF(loaded, None)
+    assert(PlanShapeSpec.shuffles(df).isEmpty, s"plan over the loaded index shuffles:\n${df.queryExecution.executedPlan}")
+    assert(sc.run(loaded) == sc.run(idx))
     loaded.unpersist()
+  }
+
+  test("cellsDF holds exactly the lake's cells") {
+    val lake = Fixtures.mixed.lake
+    val expected = for {
+      t <- lake.tables
+      (c, ci) <- t.columns.zipWithIndex
+      r <- c.values.indices
+    } yield (t.id, ci, r, c.values(r), c.numeric.map(_(r)))
+    val got = lake.cellsDF(spark).collect().toVector.map { row =>
+      (row.getLong(0), row.getInt(1), row.getInt(2), row.getString(3),
+        if (row.isNullAt(4)) None else Some(row.getDouble(4)))
+    }
+    assert(got.sortBy(_.toString) == expected.sortBy(_.toString))
   }
 
   test("index build is deterministic for a fixed lake") {
     val again = AllTables.build(spark, Fixtures.fig1Lake.cellsDF(spark))
     assert(again.nCells == idx.nCells)
     assert(again.valueFreq == idx.valueFreq)
-    val a = idx.df.collect().map(_.toString).sorted
-    val b = again.df.collect().map(_.toString).sorted
-    assert(a.sameElements(b))
+    assert(rowStrings(again) == rowStrings(idx))
     again.unpersist()
   }
 }

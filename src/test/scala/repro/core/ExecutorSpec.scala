@@ -34,6 +34,18 @@ class ExecutorSpec extends SparkSpec {
     assertEquivalent(intersectionPlan(), intersectionPlan(), Seq("result"))
   }
 
+  test("Theorem 1: a quote in a node name does not break the rewrite") {
+    def quoted(): Plan = {
+      val plan = new Plan
+      plan.add("sc", ScSeeker("sc", entities(5, 30).map(_.person)))
+      plan.add("o'mc", McSeeker("o'mc", entities(0, 20).map(_.pair)))
+      plan.add("result", Combiner.Intersection, Seq("sc", "o'mc"), -1)
+      plan
+    }
+    assertEquivalent(quoted(), quoted(), Seq("o'mc", "result"))
+    assert(blend.execute(quoted())("result").nonEmpty)
+  }
+
   test("intersection result is the set intersection of independent runs") {
     val mcIds = McSeeker("mc", entities(0, 20).map(_.pair)).run(idx).map(_.tableId).toSet
     val scIds = ScSeeker("sc", entities(5, 30).map(_.person)).run(idx).map(_.tableId).toSet

@@ -84,8 +84,9 @@ class IrRewriteSpec extends SparkSpec {
   test("install is idempotent (rule injected once)") {
     BlendSession.install(Fixtures.spark)
     BlendSession.install(Fixtures.spark)
-    val n = Fixtures.spark.experimental.extraOptimizations.count(_ == IrPushdownRule)
-    assert(n == 1)
+    val rules = Fixtures.spark.experimental.extraOptimizations
+    assert(rules.count(_ == IrPushdownRule) == 1)
+    assert(rules.count(_ == InSetPruningTwin) == 1)
   }
 
   test("MC seeker candidates honor the IR restriction") {
