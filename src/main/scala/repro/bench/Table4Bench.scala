@@ -98,10 +98,7 @@ object Table4Bench {
     def runOrder(first: Seeker, second: Seeker): Double =
       BenchUtil.time {
         val ids = first.run(idx).map(_.tableId)
-        val slot = IrRegistry.freshSlot("t4")
-        IrRegistry.put(slot, Ir(ids, negate = false))
-        try second.run(idx, Some(slot))
-        finally IrRegistry.remove(slot)
+        second.run(idx, Some(Ir(ids, negate = false)))
       }._2
 
     def evalRow(name: String, mkPair: () => (Seeker, Seeker), paper: String): Row = {

@@ -23,7 +23,8 @@ final case class PlanResult(
   *
   * In optimized mode (`optimize = true`, "BLEND"):
   *  - seekers exclusively feeding an Intersection combiner form an
-  *    execution group and are ranked by [[Optimizer.orderSeekers]];
+  *    execution group ([[Optimizer.executionGroups]]) and are ranked by
+  *    [[Optimizer.orderSeekers]];
   *  - each executed seeker's table ids become the intermediate result that
   *    rewrites the next seeker's query via the Catalyst placeholder rule
   *    (`TableId IN (...)`, or `NOT IN` for Difference);
@@ -32,6 +33,10 @@ final case class PlanResult(
   * With `optimize = false` ("B-NO") every seeker runs unrestricted in plan
   * order and combiners are plain set operations — by Theorem 1 both modes
   * return identical rankings, which the test suite asserts.
+  *
+  * In both modes a seeker keeps its full ranking when it exclusively feeds
+  * an Intersection or a Difference ([[Plan.exclusiveSeekers]]); any other
+  * seeker is capped at its own k, and every combiner at its k.
   */
 final class Executor(
     spark: SparkSession,
@@ -45,58 +50,35 @@ final class Executor(
     val t0 = System.nanoTime()
     val results = mutable.Map.empty[String, Seq[Scored]]
     val seekerMs = mutable.Map.empty[String, Double]
-    val consumers = plan.consumers
 
-    // Seekers run under control of their (sole) Intersection/Difference
-    // consumer so their queries can be rewritten with the group's IR.
-    def soleConsumer(name: String): Option[CombinerNode] =
-      consumers.get(name) match {
-        case Some(Vector(c)) => Some(c)
-        case _               => None
-      }
-    val deferred: Set[String] = plan.seekers
-      .filter(s => soleConsumer(s.name).exists(c =>
-        c.combiner == Combiner.Intersection || c.combiner == Combiner.Difference))
-      .map(_.name)
-      .toSet
+    // Seekers exclusively feeding an Intersection (its execution group) or a
+    // Difference run under that combiner's control, so their queries can be
+    // rewritten with the IR of its other inputs, and keep their full ranking.
+    val groups = Optimizer.executionGroups(plan)
+    val deferred: Set[String] = (groups.values.flatten ++
+      plan.combiners.filter(_.combiner == Combiner.Difference).flatMap(plan.exclusiveSeekers))
+      .map(_.name).toSet
 
-    def runSeeker(node: SeekerNode, ir: Option[Ir], capK: Boolean): Seq[Scored] = {
+    def runSeeker(node: SeekerNode, ir: Option[Ir]): Seq[Scored] = {
       val t = System.nanoTime()
-      val full = ir match {
-        case Some(i) if optimize =>
-          val slot = IrRegistry.freshSlot(node.name)
-          IrRegistry.put(slot, i)
-          try node.seeker.run(idx, Some(slot))
-          finally IrRegistry.remove(slot)
-        case _ => node.seeker.run(idx, None)
-      }
+      val full = node.seeker.run(idx, if (optimize) ir else None)
       seekerMs(node.name) = (System.nanoTime() - t) / 1e6
-      val res = if (capK && node.seeker.k > 0) full.take(node.seeker.k) else full
+      val k = node.seeker.k
+      val res = if (k > 0 && !deferred(node.name)) full.take(k) else full
       results(node.name) = res
       res
     }
 
-    def materialize(name: String, capK: Boolean): Seq[Scored] =
-      results.getOrElse(name, plan.node(name) match {
-        case s: SeekerNode   => runSeeker(s, None, capK)
-        case _: CombinerNode => sys.error(s"combiner '$name' executed out of order")
-      })
-
     def executeIntersection(c: CombinerNode): Vector[Seq[Scored]] = {
-      val members = c.inputs.collect {
-        case n if deferred.contains(n) && !results.contains(n) =>
-          plan.node(n).asInstanceOf[SeekerNode]
-      }
-      val memberNames = members.map(_.name).toSet
+      val members = groups(c.name)
       // Materialized inputs (earlier combiners / shared seekers) seed the IR.
-      var irIds: Option[Set[Long]] = {
-        val sets = c.inputs.filterNot(memberNames).map(materialize(_, capK = true).map(_.tableId).toSet)
-        if (sets.nonEmpty) Some(sets.reduce(_ intersect _)) else None
-      }
+      val memberNames = members.map(_.name).toSet
+      var irIds: Option[Set[Long]] = c.inputs.filterNot(memberNames)
+        .map(results(_).map(_.tableId).toSet)
+        .reduceOption(_ intersect _)
       val ordered = if (optimize) Optimizer.orderSeekers(members, idx, costModel) else members
       for (m <- ordered) {
-        val ir = irIds.map(ids => Ir(ids.toSeq.sorted, negate = false))
-        val res = runSeeker(m, ir, capK = false)
+        val res = runSeeker(m, irIds.map(ids => Ir(ids.toSeq.sorted, negate = false)))
         val ids = res.map(_.tableId).toSet
         irIds = Some(irIds.fold(ids)(_ intersect ids))
       }
@@ -105,26 +87,23 @@ final class Executor(
 
     def executeDifference(c: CombinerNode): Vector[Seq[Scored]] = {
       val Vector(aName, bName) = c.inputs
+      def side(name: String, ir: => Option[Ir]): Seq[Scored] =
+        results.getOrElse(name, runSeeker(plan.node(name).asInstanceOf[SeekerNode], ir))
       // Negative side first: its ids rewrite the positive seeker's query
       // with NOT IN (paper Example 2 / §VIII-B2).
-      val bRes = materialize(bName, capK = false)
-      val aRes = results.getOrElse(aName, plan.node(aName) match {
-        case s: SeekerNode =>
-          val ir = Some(Ir(bRes.map(_.tableId).distinct.sorted, negate = true))
-          runSeeker(s, ir, capK = false)
-        case _ => results(aName)
-      })
+      val bRes = side(bName, None)
+      val aRes = side(aName, Some(Ir(bRes.map(_.tableId).distinct.sorted, negate = true)))
       Vector(aRes, bRes)
     }
 
     plan.nodes.foreach {
       case s: SeekerNode =>
-        if (!deferred.contains(s.name)) runSeeker(s, None, capK = true)
+        if (!deferred(s.name)) runSeeker(s, None)
       case c: CombinerNode =>
         val inputResults: Vector[Seq[Scored]] = c.combiner match {
           case Combiner.Intersection => executeIntersection(c)
           case Combiner.Difference   => executeDifference(c)
-          case _                     => c.inputs.map(materialize(_, capK = true))
+          case _                     => c.inputs.map(results(_))
         }
         val combined = c.combiner(inputResults)
         results(c.name) = if (c.k > 0) combined.take(c.k) else combined

@@ -1,43 +1,41 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicLong
-
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.{FunctionIdentifier, InternalRow}
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.codegen.CodegenFallback
 import org.apache.spark.sql.catalyst.plans.logical.{Filter, LogicalPlan}
 import org.apache.spark.sql.catalyst.rules.Rule
-import org.apache.spark.sql.catalyst.util.TypeUtils
+import org.apache.spark.sql.catalyst.util.{ArrayData, TypeUtils}
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
-import org.apache.spark.sql.types.{BooleanType, DataType, StringType}
+import org.apache.spark.sql.types.{ArrayType, BooleanType, DataType, LongType}
 
 /** Catalyst-level implementation of BLEND's intermediate-result query
   * rewriting (paper §VII-B, "Query rewriting").
   *
-  * Each seeker's default query contains a placeholder predicate
-  * `blend_ir(<slot>, TableId)`. Before the executor fires the query it
-  * stores the intermediate result (the table ids produced by the previously
-  * executed seeker of the same execution group) in [[IrRegistry]] under the
-  * slot name. [[IrPushdownRule]], injected via
-  * `spark.experimental.extraOptimizations`, then replaces the placeholder at
+  * A seeker query rewritten with an intermediate result (IR: the table ids
+  * produced by the previously executed seeker of the same execution group)
+  * contains the placeholder predicate `blend_ir(<ids>, <negate>, TableId)`.
+  * The IR is an argument of the placeholder: the ids are an array literal
+  * and the combiner a boolean literal, so the query carries its own IR and
+  * no state outside the plan is read. [[IrPushdownRule]], injected via
+  * `spark.experimental.extraOptimizations`, replaces the placeholder at
   * logical-optimization time with the combiner-dependent predicate of the
   * paper:
   *
-  *  - Intersection:  `TableId IN (...)`
-  *  - Difference:    `TableId NOT IN (...)`
-  *  - no entry:      literal TRUE (seeker runs unrestricted)
+  *  - Intersection:  `TableId IN (...)`, or FALSE for no ids
+  *  - Difference:    `TableId NOT IN (...)`, or TRUE for no ids
   *
   * An un-rewritten placeholder evaluates to TRUE, so the rewriting is a pure
   * optimization: plan results never depend on whether the rule fired
   * (Theorem 1 of the paper).
   */
-final case class IrPlaceholder(slot: Expression, child: Expression)
-    extends BinaryExpression with Predicate with CodegenFallback {
+final case class IrPlaceholder(ids: Expression, negate: Expression, child: Expression)
+    extends TernaryExpression with Predicate with CodegenFallback {
 
-  override def left: Expression = slot
-  override def right: Expression = child
+  override def first: Expression = ids
+  override def second: Expression = negate
+  override def third: Expression = child
   override def dataType: DataType = BooleanType
   override def nullable: Boolean = false
 
@@ -45,58 +43,42 @@ final case class IrPlaceholder(slot: Expression, child: Expression)
   override def eval(input: InternalRow): Any = true
 
   override protected def withNewChildrenInternal(
-      newLeft: Expression, newRight: Expression): IrPlaceholder =
-    copy(slot = newLeft, child = newRight)
+      newFirst: Expression, newSecond: Expression, newThird: Expression): IrPlaceholder =
+    copy(ids = newFirst, negate = newSecond, child = newThird)
 
   override def prettyName: String = "blend_ir"
 }
 
-/** An intermediate result bound to a rewrite slot.
+/** An intermediate result, the value a [[IrPlaceholder]] carries.
   *
   * @param ids    table ids produced by the previously executed operator
   * @param negate true for Difference (`NOT IN`), false for Intersection
   */
 final case class Ir(ids: Seq[Long], negate: Boolean)
 
-/** Process-wide registry of rewrite slots, filled by the executor right
-  * before it triggers the action that runs the rewritten seeker.
-  */
-object IrRegistry {
-  private val slots = new ConcurrentHashMap[String, Ir]()
-  private val counter = new AtomicLong(0L)
-
-  def freshSlot(prefix: String): String = s"$prefix-${counter.incrementAndGet()}"
-  def put(slot: String, ir: Ir): Unit = { slots.put(slot, ir); () }
-  def get(slot: String): Option[Ir] = Option(slots.get(slot))
-  def remove(slot: String): Unit = { slots.remove(slot); () }
-  def clear(): Unit = slots.clear()
-}
-
-/** The optimizer rule: replaces every [[IrPlaceholder]] whose slot has a
-  * registered intermediate result with the corresponding IN / NOT IN list.
+/** The optimizer rule: replaces every [[IrPlaceholder]] whose ids and
+  * combiner are literals with the corresponding IN / NOT IN list.
   */
 object IrPushdownRule extends Rule[LogicalPlan] {
 
-  /** Large id lists become `InSet` directly (the main optimizer's
-    * `OptimizeIn` batch has already run by the time extraOptimizations
-    * fire, so a long `In` literal list would be evaluated by linear scan).
+  /** Large id lists become `InSet` directly, past the threshold the main
+    * optimizer's `OptimizeIn` uses (that batch has already run by the time
+    * extraOptimizations fire, so a long `In` literal list would be
+    * evaluated by linear scan).
     */
-  private def inList(child: Expression, ids: Seq[Long]): Expression =
-    if (ids.size > 10) InSet(child, ids.map(java.lang.Long.valueOf(_): Any).toSet)
-    else In(child, ids.map(Literal(_)))
+  private def inList(child: Expression, ids: Array[Long]): Expression =
+    if (ids.length > conf.optimizerInSetConversionThreshold) {
+      InSet(child, ids.map(java.lang.Long.valueOf(_): Any).toSet)
+    } else In(child, ids.toSeq.map(Literal(_)))
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformAllExpressions {
-    case IrPlaceholder(Literal(slot, StringType), child) =>
-      IrRegistry.get(slot.toString) match {
-        case Some(Ir(ids, false)) =>
-          // Intersecting with an empty result is empty.
-          if (ids.isEmpty) Literal.FalseLiteral
-          else inList(child, ids)
-        case Some(Ir(ids, true)) =>
-          if (ids.isEmpty) Literal.TrueLiteral
-          else Not(inList(child, ids))
-        case None => Literal.TrueLiteral
-      }
+    case IrPlaceholder(
+        Literal(ids: ArrayData, ArrayType(LongType, false)), Literal(negate: Boolean, BooleanType), child) =>
+      val list = ids.toLongArray()
+      // Intersecting with an empty result is empty; excluding one is a no-op.
+      if (list.isEmpty) Literal(negate)
+      else if (negate) Not(inList(child, list))
+      else inList(child, list)
   }
 }
 
@@ -160,7 +142,7 @@ object InSetPruningTwin extends Rule[LogicalPlan] with PredicateHelper {
 }
 
 /** Installs BLEND into a SparkSession: registers the `blend_ir` placeholder
-  * function (via the session's function registry, so plain SQL and
+  * function once (via the session's function registry, so plain SQL and
   * `call_function` can produce it), injects [[IrPushdownRule]] and
   * [[InSetPruningTwin]] into the experimental optimizer extensions, and
   * lets joins on (TableId, RowId) run co-partitioned on the index's
@@ -170,14 +152,17 @@ object BlendSession {
   private val rules = Seq(IrPushdownRule, InSetPruningTwin)
 
   def install(spark: SparkSession): Unit = synchronized {
-    spark.sessionState.functionRegistry.createOrReplaceTempFunction(
-      "blend_ir",
-      (exprs: Seq[Expression]) => {
-        require(exprs.length == 2, "blend_ir(slot, TableId) takes two arguments")
-        IrPlaceholder(exprs.head, exprs(1))
-      },
-      "built-in",
-    )
+    val functions = spark.sessionState.functionRegistry
+    if (!functions.functionExists(FunctionIdentifier("blend_ir"))) {
+      functions.createOrReplaceTempFunction(
+        "blend_ir",
+        (exprs: Seq[Expression]) => {
+          require(exprs.length == 3, "blend_ir(ids, negate, TableId) takes three arguments")
+          IrPlaceholder(exprs.head, exprs(1), exprs(2))
+        },
+        "built-in",
+      )
+    }
     val missing = rules.filterNot(spark.experimental.extraOptimizations.contains)
     if (missing.nonEmpty) {
       spark.experimental.extraOptimizations = spark.experimental.extraOptimizations ++ missing

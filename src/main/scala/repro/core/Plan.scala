@@ -62,6 +62,16 @@ final class Plan {
       .mapValues(_.map(_._2))
       .toMap
 
+  /** The seeker inputs that exclusively feed combiner `c` (it is their only
+    * consumer and takes each of them once), in input order. Such a seeker
+    * runs under the control of an Intersection or a Difference (see
+    * [[Executor]]), and those of an Intersection form its execution group.
+    */
+  def exclusiveSeekers(c: CombinerNode): Vector[SeekerNode] = {
+    val consumed = consumers
+    c.inputs.map(node).collect { case s: SeekerNode if consumed.get(s.name).contains(Vector(c)) => s }
+  }
+
   def seekers: Vector[SeekerNode] = nodes.collect { case s: SeekerNode => s }
   def combiners: Vector[CombinerNode] = nodes.collect { case c: CombinerNode => c }
 }

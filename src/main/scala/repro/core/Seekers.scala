@@ -31,10 +31,11 @@ final case class SeekerFeatures(card: Double, nCols: Double, avgFreq: Double) {
 /** A low-level search operator over the unified AllTables index.
   *
   * `resultDF` is the seeker's default SQL (as a DataFrame plan) including
-  * the `blend_ir` placeholder when a rewrite slot is given; `run` executes
-  * it (plus any application-level phase) and returns the full deterministic
-  * ranking. `k` is the seeker's own top-k, applied by the executor where
-  * the paper applies it (standalone seekers and Counter members).
+  * the `blend_ir` placeholder, which carries the IR, when an IR is given;
+  * `run` executes it (plus any application-level phase) and returns the
+  * full deterministic ranking. `k` is the seeker's own top-k, applied by
+  * the executor where the paper applies it (standalone seekers and Counter
+  * members).
   */
 sealed trait Seeker {
   def label: String
@@ -48,11 +49,13 @@ sealed trait Seeker {
   def features(idx: AllTables): SeekerFeatures =
     SeekerFeatures(queryValues.size.toDouble, nQueryCols.toDouble, idx.avgFrequency(queryValues))
 
-  def run(idx: AllTables, slot: Option[String] = None): Seq[Scored]
+  def run(idx: AllTables, ir: Option[Ir] = None): Seq[Scored]
 
-  /** Apply the placeholder predicate of §VII-B to a scan of AllTables. */
-  protected final def withIr(df: DataFrame, slot: Option[String]): DataFrame =
-    slot.fold(df)(s => df.where(call_function("blend_ir", lit(s), col("TableId"))))
+  /** Apply the placeholder predicate of §VII-B, with the IR as its
+    * literal arguments, to a scan of AllTables.
+    */
+  protected final def withIr(df: DataFrame, ir: Option[Ir]): DataFrame =
+    ir.fold(df)(i => df.where(call_function("blend_ir", typedLit(i.ids), lit(i.negate), col("TableId"))))
 
   protected final def collectScored(df: DataFrame): Seq[Scored] =
     df.select(col("TableId").cast("long"), col("score").cast("double"))
@@ -70,17 +73,17 @@ final case class ScSeeker(label: String, values: Seq[String], k: Int = 10) exten
   override val queryValues: Seq[String] = values.distinct
   override def nQueryCols: Int = 1
 
-  def resultDF(idx: AllTables, slot: Option[String]): DataFrame =
+  def resultDF(idx: AllTables, ir: Option[Ir] = None): DataFrame =
     // The placeholder sits above the selective value filter, so the
     // rewritten IN-list is only evaluated on the filter's survivors.
-    withIr(idx.df.where(col("CellValue").isin(queryValues: _*)), slot)
+    withIr(idx.df.where(col("CellValue").isin(queryValues: _*)), ir)
       .groupBy("TableId", "ColumnId")
       .agg(countDistinct("CellValue").as("ov"))
       .groupBy("TableId")
       .agg(max("ov").as("score"))
 
-  override def run(idx: AllTables, slot: Option[String]): Seq[Scored] =
-    collectScored(resultDF(idx, slot))
+  override def run(idx: AllTables, ir: Option[Ir]): Seq[Scored] =
+    collectScored(resultDF(idx, ir))
 }
 
 /** Keyword seeker: like SC but overlap is counted over whole tables
@@ -91,13 +94,13 @@ final case class KwSeeker(label: String, keywords: Seq[String], k: Int = 10) ext
   override val queryValues: Seq[String] = keywords.distinct
   override def nQueryCols: Int = 1
 
-  def resultDF(idx: AllTables, slot: Option[String]): DataFrame =
-    withIr(idx.df.where(col("CellValue").isin(queryValues: _*)), slot)
+  def resultDF(idx: AllTables, ir: Option[Ir] = None): DataFrame =
+    withIr(idx.df.where(col("CellValue").isin(queryValues: _*)), ir)
       .groupBy("TableId")
       .agg(countDistinct("CellValue").as("score"))
 
-  override def run(idx: AllTables, slot: Option[String]): Seq[Scored] =
-    collectScored(resultDF(idx, slot))
+  override def run(idx: AllTables, ir: Option[Ir]): Seq[Scored] =
+    collectScored(resultDF(idx, ir))
 }
 
 /** Result details of an MC run — Table V counts candidates fetched after
@@ -137,13 +140,13 @@ final case class McSeeker(label: String, tuples: Seq[Vector[String]], k: Int = 1
     * RowId) with pairwise-distinct ColumnIds. Output columns: TableId,
     * RowId, SuperKey, v0..v{x-1}.
     */
-  def candidateDF(idx: AllTables, slot: Option[String]): DataFrame = {
+  def candidateDF(idx: AllTables, ir: Option[Ir] = None): DataFrame = {
     // The rewrite predicate restricts the first column's hits (as in the
     // paper's Example 2: `WHERE Q1_index_hits.TableId IN (IR)`); the
     // equi-join on TableId propagates the restriction to the other scans.
     def hits(i: Int): DataFrame = {
       val h = idx.df.where(col("CellValue").isin(colValues(i): _*))
-      val restricted = if (i == 0) withIr(h, slot) else h
+      val restricted = if (i == 0) withIr(h, ir) else h
       restricted.select(
         col("TableId"), col("RowId"), col("SuperKey"),
         col("ColumnId").as(s"c$i"), col("CellValue").as(s"v$i"))
@@ -160,8 +163,8 @@ final case class McSeeker(label: String, tuples: Seq[Vector[String]], k: Int = 1
   }
 
   /** Full MC pipeline with the paper's application-level phase. */
-  def runDetailed(idx: AllTables, slot: Option[String] = None): McDetails = {
-    val rows = candidateDF(idx, slot)
+  def runDetailed(idx: AllTables, ir: Option[Ir] = None): McDetails = {
+    val rows = candidateDF(idx, ir)
       .select(
         Seq(col("TableId"), col("RowId"), col("SuperKey")) ++
           (0 until nQueryCols).map(i => col(s"v$i")): _*)
@@ -199,8 +202,8 @@ final case class McSeeker(label: String, tuples: Seq[Vector[String]], k: Int = 1
     McDetails(ranking, cands.size.toLong, tp, fp)
   }
 
-  override def run(idx: AllTables, slot: Option[String]): Seq[Scored] =
-    runDetailed(idx, slot).ranking
+  override def run(idx: AllTables, ir: Option[Ir]): Seq[Scored] =
+    runDetailed(idx, ir).ranking
 }
 
 /** Correlation seeker (paper Listing 3): joins query-key index hits with
@@ -237,14 +240,14 @@ final case class CorrSeeker(
 
   override val queryValues: Seq[String] = keyMeans.keys.toSeq.sorted
 
-  def resultDF(idx: AllTables, slot: Option[String]): DataFrame = {
+  def resultDF(idx: AllTables, ir: Option[Ir] = None): DataFrame = {
     val keySide = withIr(
-      idx.df.where(col("CellValue").isin(queryValues: _*) && col("RowId") < h), slot)
+      idx.df.where(col("CellValue").isin(queryValues: _*) && col("RowId") < h), ir)
       .select(
         col("TableId"), col("RowId"), col("ColumnId").as("jc"),
         when(col("CellValue").isin(k1Keys: _*), 1).otherwise(0).as("kq"))
     val numSide = withIr(
-      idx.df.where(col("Quadrant").isNotNull && col("RowId") < h), slot)
+      idx.df.where(col("Quadrant").isNotNull && col("RowId") < h), ir)
       .select(col("TableId"), col("RowId"), col("ColumnId").as("nc"), col("Quadrant"))
 
     keySide
@@ -262,6 +265,6 @@ final case class CorrSeeker(
       .agg(max("qcr").as("score"))
   }
 
-  override def run(idx: AllTables, slot: Option[String]): Seq[Scored] =
-    collectScored(resultDF(idx, slot))
+  override def run(idx: AllTables, ir: Option[Ir]): Seq[Scored] =
+    collectScored(resultDF(idx, ir))
 }

@@ -66,6 +66,25 @@ class OptimizerSpec extends SparkSpec {
     assert(Optimizer.executionGroups(p).isEmpty)
   }
 
+  test("a seeker feeding only a Difference is deferred but forms no reorderable group") {
+    val p = new Plan
+    p.add("pos", ScSeeker("pos", Seq("HR", "Marketing", "Finance"), k = 1))
+    p.add("neg", ScSeeker("neg", Seq("Tom Riddle"), k = 1))
+    p.add("d", Combiner.Difference, Seq("pos", "neg"))
+    p.add("u", Combiner.Union, Seq("d", "neg"))
+    assert(Optimizer.executionGroups(p).keySet == Set.empty)
+    assert(p.exclusiveSeekers(p.combiners.head).map(_.name) == Vector("pos")) // neg also feeds the union
+    // Deferred: pos keeps its full ranking past its k (under BLEND, the
+    // ranking rewritten with NOT IN neg's tables), while the shared neg is
+    // capped like any standalone seeker.
+    for (optimize <- Seq(true, false)) {
+      val r = new Executor(spark, Fixtures.fig1Index, optimize = optimize).execute(p)
+      assert(r.tableIds("pos").toSet == (if (optimize) Set(0L, 2L) else Set(0L, 1L, 2L)))
+      assert(r.tableIds("d").toSet == Set(0L, 2L))
+      assert(r("neg").size == 1)
+    }
+  }
+
   test("combiner inputs of an Intersection are not group members") {
     val p = new Plan
     p.add("s1", ScSeeker("s1", Seq("a")))
